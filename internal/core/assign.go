@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -38,6 +39,7 @@ func apportion(p []float64, n int) []int {
 // record's rank and its likely position in the original distribution, which
 // is what lets each record keep its own class label.
 //
+// The values must be finite (reconstruction rejects anything else first).
 // The returned slice gives the assigned interval per record, aligned with
 // the input order.
 func orderedAssign(values []float64, p []float64) ([]int, error) {
@@ -48,17 +50,14 @@ func orderedAssign(values []float64, p []float64) ([]int, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("core: orderedAssign with empty distribution")
 	}
-	counts := apportion(p, n)
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: orderedAssign over %d values exceeds int32 row indices", n)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+	counts := apportion(p, n)
 
 	bins := make([]int, n)
 	b, used := 0, 0
-	for _, idx := range order {
+	for _, idx := range rankOrder(values) {
 		for b < len(counts)-1 && used >= counts[b] {
 			b++
 			used = 0
@@ -67,4 +66,58 @@ func orderedAssign(values []float64, p []float64) ([]int, error) {
 		used++
 	}
 	return bins, nil
+}
+
+// rankOrder returns the row indices of finite values in ascending value
+// order with ties in row order: exactly the permutation a stable sort under
+// < yields. It is an LSD radix sort, one pass per byte of an order-preserving
+// uint64 key, and stable, so tied values keep their row order. A pass over a
+// byte that every key shares moves nothing and is skipped. Each pass
+// recomputes the keys from values rather than carrying them, which keeps
+// the scratch to two int32 index arrays.
+func rankOrder(values []float64) []int32 {
+	n := len(values)
+	var hist [8][256]int
+	for _, v := range values {
+		k := sortKey(v)
+		for d := range hist {
+			hist[d][byte(k>>(8*d))]++
+		}
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	buf := make([]int32, n)
+	first := sortKey(values[0])
+	for d := range hist {
+		shift := 8 * d
+		h := &hist[d]
+		if h[byte(first>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		for _, row := range order {
+			digit := byte(sortKey(values[row]) >> shift)
+			buf[h[digit]] = row
+			h[digit]++
+		}
+		order, buf = buf, order
+	}
+	return order
+}
+
+// sortKey maps a finite float64 to a uint64 whose unsigned order is the
+// float's numeric order: negative values have all bits flipped, others only
+// the sign bit. -0 becomes +0 first, since the two compare equal under <.
+func sortKey(v float64) uint64 {
+	bits := math.Float64bits(v)
+	if v == 0 {
+		bits = 0
+	}
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
 }

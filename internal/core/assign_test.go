@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -190,5 +191,123 @@ func TestModeParseAndString(t *testing.T) {
 	}
 	if Original.NeedsNoise() || Randomized.NeedsNoise() {
 		t.Error("baseline modes must not need noise")
+	}
+}
+
+// stableOrderedAssign is the comparison-sort re-assignment orderedAssign
+// replaced, kept as the oracle of the differential test below.
+func stableOrderedAssign(values []float64, p []float64) []int {
+	counts := apportion(p, len(values))
+	order := stableOrder(values)
+	bins := make([]int, len(values))
+	b, used := 0, 0
+	for _, idx := range order {
+		for b < len(counts)-1 && used >= counts[b] {
+			b++
+			used = 0
+		}
+		bins[idx] = b
+		used++
+	}
+	return bins
+}
+
+// stableOrder is the permutation a stable sort under < gives.
+func stableOrder(values []float64) []int {
+	order := make([]int, len(values))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+	return order
+}
+
+// tieHeavyValues draws n values from a small pool of hard cases — both
+// zeros, subnormals, negatives, extremes and full-precision doubles — so
+// that ties are frequent and every radix byte is exercised.
+func tieHeavyValues(r *prng.Source, n, poolSize int) []float64 {
+	fixed := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		1, -1, math.MaxFloat64, -math.MaxFloat64, 1e-300, -1e300,
+	}
+	pool := make([]float64, poolSize)
+	for i := range pool {
+		if r.Intn(2) == 0 {
+			pool[i] = fixed[r.Intn(len(fixed))]
+		} else {
+			pool[i] = r.Gaussian(0, 100) * math.Pow(10, float64(r.Intn(40)-20))
+		}
+	}
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = pool[r.Intn(len(pool))]
+	}
+	return values
+}
+
+func TestOrderedAssignMatchesStableSortOracle(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, kRaw, poolRaw uint8) bool {
+		r := prng.New(seed)
+		n := int(nRaw%3000) + 1
+		k := int(kRaw%20) + 1
+		values := tieHeavyValues(r, n, int(poolRaw%40)+1)
+		p := make([]float64, k)
+		for i := range p {
+			p[i] = r.Float64()
+		}
+		stats.Normalize(p)
+
+		want := stableOrder(values)
+		got := rankOrder(values)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Errorf("seed %d: rank %d holds row %d, stable sort has row %d", seed, i, got[i], want[i])
+				return false
+			}
+		}
+		bins, err := orderedAssign(values, p)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		oracle := stableOrderedAssign(values, p)
+		for i := range oracle {
+			if bins[i] != oracle[i] {
+				t.Errorf("seed %d: row %d in bin %d, oracle says %d", seed, i, bins[i], oracle[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRankOrderEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	up := math.Nextafter(2, 3) // differs from 2 in the lowest key byte only
+	cases := []struct {
+		name   string
+		values []float64
+		want   []int32
+	}{
+		// Every radix pass is skipped: row order must remain.
+		{"all tied", []float64{2, 2, 2, 2, 2}, []int32{0, 1, 2, 3, 4}},
+		{"both zeros tie", []float64{0, negZero, 0, negZero}, []int32{0, 1, 2, 3}},
+		// Only one key differs, in one byte: that pass must still run.
+		{"one byte apart", []float64{2, 2, up, 2}, []int32{0, 1, 3, 2}},
+		{"single value", []float64{-7}, []int32{0}},
+	}
+	for _, c := range cases {
+		got := rankOrder(c.values)
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: rankOrder = %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // TrainStream is the out-of-core counterpart of Train for the decision-tree
 // learner: it consumes the training set as a record stream and never
 // materializes the table. One streaming pass builds SPRINT-style columnar
-// attribute lists in fixed-size segments spilled to gzipped files — binning
-// unperturbed attributes on the fly and parking perturbed raw columns on
-// disk — then each perturbed attribute is reconstructed and re-assigned one
+// attribute lists in fixed-size segments spilled to fixed-width binary
+// files — binning unperturbed attributes on the fly and parking perturbed
+// raw columns on disk — then each perturbed attribute is reconstructed and re-assigned one
 // column at a time, and the tree grows from the spilled lists through a
 // bounded segment cache (tree.SpillSource). Peak memory is one raw column
 // per reconstruction worker plus the class list, the live rowID lists, and

@@ -78,7 +78,7 @@ type Config struct {
 	// spill is scratch of one training run and is removed before TrainStream
 	// returns. In-memory Train ignores it.
 	SpillDir string
-	// ColumnCacheSegments bounds the decompressed column segments
+	// ColumnCacheSegments bounds the decoded column segments
 	// TrainStream's tree growth holds in memory at once, across all
 	// attributes (0 = tree.DefaultCacheSegments). In-memory Train ignores
 	// it; the trained model is identical for every value.

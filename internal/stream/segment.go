@@ -1,31 +1,41 @@
 package stream
 
 import (
-	"bufio"
-	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"math"
 )
 
+// Value widths of the segment codec, in bytes.
+const (
+	floatWidth = 8 // float64 as its IEEE-754 bits
+	intWidth   = 4 // int as int32
+)
+
+// maxSegmentValues bounds the values one segment may hold. Writers refuse
+// longer segments and readers refuse indices that claim them, so a corrupt
+// index cannot make a read allocate more than maxSegmentValues×floatWidth
+// bytes. Training spills on the 8192-value tree.SegLen grid, far below it.
+const maxSegmentValues = 1 << 20
+
 // Segment locates one column segment inside a segment file: the byte range
-// of its gzip member and the number of values it holds. Indices live in
+// holding its values and the number of values it holds. Indices live in
 // memory for the lifetime of the spill (segment files are scratch of one
 // training run, not an interchange format).
 type Segment struct {
-	// Off and Size bound the segment's gzip member in the file.
+	// Off and Size bound the segment's bytes in the file.
 	Off, Size int64
 	// Count is the number of values in the segment.
 	Count int
 }
 
-// SegmentWriter spills a column to a file as a sequence of independently
-// gzipped segments — the out-of-core counterpart of a memory-resident
-// attribute list. Each segment is its own gzip member holding one value per
-// line, in the same exact textual encoding as the record codec (Writer):
-// floats render with strconv.FormatFloat(v, 'g', -1, 64), so a spilled
-// value re-reads bit-identically, which is what lets the out-of-core
-// training path reproduce the in-memory path byte for byte.
+// SegmentWriter spills a column to a file as a sequence of segments — the
+// out-of-core counterpart of a memory-resident attribute list. A segment is
+// one plain byte range of fixed-width little-endian values: a float64 is its
+// 8 IEEE-754 bytes (math.Float64bits) and an int is 4 bytes of int32. A
+// spilled value therefore re-reads bit-identically, which is what lets the
+// out-of-core training path reproduce the in-memory path byte for byte.
 type SegmentWriter struct {
 	w     io.Writer
 	off   int64
@@ -58,71 +68,64 @@ func (w *SegmentWriter) Index() []Segment {
 
 // WriteFloats appends one segment of float64 values.
 func (w *SegmentWriter) WriteFloats(vals []float64) error {
-	return w.writeSegment(len(vals), func(enc *bufio.Writer) error {
-		for _, v := range vals {
-			w.buf = strconv.AppendFloat(w.buf[:0], v, 'g', -1, 64)
-			w.buf = append(w.buf, '\n')
-			if _, err := enc.Write(w.buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	buf, err := w.payload(len(vals), floatWidth)
+	if err != nil {
+		return err
+	}
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[i*floatWidth:], math.Float64bits(v))
+	}
+	return w.writeSegment(len(vals), buf)
 }
 
-// WriteInts appends one segment of integer values.
+// WriteInts appends one segment of integer values. Every value must fit in
+// an int32.
 func (w *SegmentWriter) WriteInts(vals []int) error {
-	return w.writeSegment(len(vals), func(enc *bufio.Writer) error {
-		for _, v := range vals {
-			w.buf = strconv.AppendInt(w.buf[:0], int64(v), 10)
-			w.buf = append(w.buf, '\n')
-			if _, err := enc.Write(w.buf); err != nil {
-				return err
-			}
+	buf, err := w.payload(len(vals), intWidth)
+	if err != nil {
+		return err
+	}
+	for i, v := range vals {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return fmt.Errorf("stream: segment %d value %d: %d does not fit in int32", len(w.index), i, v)
 		}
-		return nil
-	})
+		binary.LittleEndian.PutUint32(buf[i*intWidth:], uint32(int32(v)))
+	}
+	return w.writeSegment(len(vals), buf)
 }
 
-// writeSegment frames one gzip member around the encoded payload and
-// records it in the index.
-func (w *SegmentWriter) writeSegment(count int, encode func(*bufio.Writer) error) error {
+// payload validates a segment's length and returns the reused encode
+// buffer sized for it.
+func (w *SegmentWriter) payload(count, width int) ([]byte, error) {
 	if count == 0 {
-		return fmt.Errorf("stream: refusing to write an empty segment")
+		return nil, fmt.Errorf("stream: refusing to write an empty segment")
 	}
-	cw := &countingWriter{w: w.w}
-	gz := gzip.NewWriter(cw)
-	enc := bufio.NewWriter(gz)
-	if err := encode(enc); err != nil {
+	if count > maxSegmentValues {
+		return nil, fmt.Errorf("stream: segment of %d values exceeds the %d-value limit", count, maxSegmentValues)
+	}
+	size := count * width
+	if cap(w.buf) < size {
+		w.buf = make([]byte, size)
+	}
+	return w.buf[:size], nil
+}
+
+// writeSegment writes one encoded segment and records it in the index.
+func (w *SegmentWriter) writeSegment(count int, payload []byte) error {
+	off := w.off
+	n, err := w.w.Write(payload)
+	w.off += int64(n)
+	if err != nil {
 		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
 	}
-	if err := enc.Flush(); err != nil {
-		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
-	}
-	w.index = append(w.index, Segment{Off: w.off, Size: cw.n, Count: count})
-	w.off += cw.n
+	w.index = append(w.index, Segment{Off: off, Size: int64(n), Count: count})
 	return nil
 }
 
-// countingWriter tracks how many bytes pass through.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // SegmentReader reads individual segments of a file written by
-// SegmentWriter, in any order. Reads are stateless — each call opens its own
-// section and gzip stream — so a reader is safe for concurrent use as long
-// as the underlying ReaderAt is (an *os.File is).
+// SegmentWriter, in any order. Reads are stateless — each call is one
+// ReadAt of the segment's byte range — so a reader is safe for concurrent
+// use as long as the underlying ReaderAt is (an *os.File is).
 type SegmentReader struct {
 	r     io.ReaderAt
 	index []Segment
@@ -152,58 +155,54 @@ func (r *SegmentReader) N() int {
 // ReadFloats decodes one float64 segment. The values are bit-identical to
 // what WriteFloats was given.
 func (r *SegmentReader) ReadFloats(seg int) ([]float64, error) {
-	var out []float64
-	err := r.readSegment(seg, func(line []byte) error {
-		v, err := strconv.ParseFloat(string(line), 64)
-		if err != nil {
-			return err
-		}
-		out = append(out, v)
-		return nil
-	})
-	return out, err
+	raw, err := r.readSegment(seg, floatWidth)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(raw)/floatWidth)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*floatWidth:]))
+	}
+	return out, nil
 }
 
 // ReadInts decodes one integer segment.
 func (r *SegmentReader) ReadInts(seg int) ([]int, error) {
-	var out []int
-	err := r.readSegment(seg, func(line []byte) error {
-		v, err := strconv.Atoi(string(line))
-		if err != nil {
-			return err
-		}
-		out = append(out, v)
-		return nil
-	})
-	return out, err
+	raw, err := r.readSegment(seg, intWidth)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(raw)/intWidth)
+	for i := range out {
+		out[i] = int(int32(binary.LittleEndian.Uint32(raw[i*intWidth:])))
+	}
+	return out, nil
 }
 
-// readSegment streams one gzip member line by line through parse and
-// validates the value count against the index.
-func (r *SegmentReader) readSegment(seg int, parse func(line []byte) error) error {
+// readSegment validates segment seg's index entry against the value width
+// and returns its bytes, read with a single ReadAt.
+func (r *SegmentReader) readSegment(seg, width int) ([]byte, error) {
 	if seg < 0 || seg >= len(r.index) {
-		return fmt.Errorf("stream: segment %d outside file of %d segments", seg, len(r.index))
+		return nil, fmt.Errorf("stream: segment %d outside file of %d segments", seg, len(r.index))
 	}
 	s := r.index[seg]
-	gz, err := gzip.NewReader(io.NewSectionReader(r.r, s.Off, s.Size))
-	if err != nil {
-		return fmt.Errorf("stream: opening segment %d: %w", seg, err)
+	if s.Count < 1 || s.Count > maxSegmentValues {
+		return nil, fmt.Errorf("stream: segment %d holds %d values, want 1..%d", seg, s.Count, maxSegmentValues)
 	}
-	defer gz.Close()
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	n := 0
-	for sc.Scan() {
-		if err := parse(sc.Bytes()); err != nil {
-			return fmt.Errorf("stream: segment %d value %d: %w", seg, n, err)
+	if s.Size != int64(s.Count*width) {
+		return nil, fmt.Errorf("stream: segment %d spans %d bytes, %d values of %d bytes need %d",
+			seg, s.Size, s.Count, width, s.Count*width)
+	}
+	if s.Off < 0 {
+		return nil, fmt.Errorf("stream: segment %d at negative offset %d", seg, s.Off)
+	}
+	buf := make([]byte, s.Size)
+	n, err := r.r.ReadAt(buf, s.Off)
+	if n < len(buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		n++
+		return nil, fmt.Errorf("stream: reading segment %d: %d of %d bytes: %w", seg, n, len(buf), err)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("stream: reading segment %d: %w", seg, err)
-	}
-	if n != s.Count {
-		return fmt.Errorf("stream: segment %d decoded %d values, index says %d", seg, n, s.Count)
-	}
-	return nil
+	return buf, nil
 }

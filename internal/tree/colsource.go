@@ -10,16 +10,16 @@ import (
 
 // DefaultCacheSegments is the segment-cache budget of a SpillSource when the
 // caller passes 0: at SegLen values of 4 bytes each, 256 segments keep at
-// most ~8 MiB of decompressed column data resident however large the
-// training set is.
+// most ~8 MiB of decoded column data resident however large the training
+// set is.
 const DefaultCacheSegments = 256
 
-// SpillSource is a ColumnSource whose attribute lists reside in gzipped
-// on-disk segment files (written by stream.SegmentWriter on the SegLen
-// grid). Segments decompress on demand into a bounded, shared LRU cache, so
-// tree growth over an arbitrarily large training set holds only the class
-// list, the live rowID lists, and the cache budget in memory — the
-// out-of-core half of the SPRINT design.
+// SpillSource is a ColumnSource whose attribute lists reside in on-disk
+// segment files (written by stream.SegmentWriter on the SegLen grid).
+// Segments are read and decoded on demand into a bounded, shared LRU
+// cache, so tree growth over an arbitrarily large training set holds only
+// the class list, the live rowID lists, and the cache budget in memory —
+// the out-of-core half of the SPRINT design.
 //
 // The parallel split search reads different attributes concurrently;
 // SpillSource synchronizes the cache internally and performs stateless
@@ -34,7 +34,7 @@ type SpillSource struct {
 // NewSpillSource wraps one segment reader per attribute. Every reader must
 // hold exactly len(labels) values in SegLen-sized segments (the last may be
 // shorter); bin counts and labels are validated as in NewStaticSource.
-// cacheSegments bounds the decompressed segments held across all attributes
+// cacheSegments bounds the decoded segments held across all attributes
 // (0 = DefaultCacheSegments).
 func NewSpillSource(readers []*stream.SegmentReader, bins []int, labels []int, numClasses, cacheSegments int) (*SpillSource, error) {
 	if len(readers) == 0 {
@@ -143,7 +143,7 @@ type spillList struct {
 // Len implements AttrList.
 func (l *spillList) Len() int { return l.n }
 
-// Segment implements AttrList: cache hit or decompress-and-insert. A slice
+// Segment implements AttrList: cache hit or read-and-insert. A slice
 // handed out stays valid even if evicted (eviction only drops the cache's
 // reference; the garbage collector reclaims it once the caller moves on),
 // so the budget bounds resident segments up to the readers in flight.
@@ -168,7 +168,7 @@ func (l *spillList) Segment(seg int) ([]uint32, error) {
 // segKey addresses one cached segment.
 type segKey struct{ attr, seg int }
 
-// segCache is a mutex-guarded LRU over decompressed segments, shared by all
+// segCache is a mutex-guarded LRU over decoded segments, shared by all
 // attributes of one SpillSource so hot columns can claim more of the budget
 // than cold ones.
 type segCache struct {
@@ -185,7 +185,7 @@ type segEntry struct {
 
 // get returns the cached segment or loads it with load. Concurrent misses
 // on the same key may both load; the duplicate work is harmless (identical
-// data) and cheaper than holding the lock across a gunzip.
+// data) and cheaper than holding the lock across a disk read.
 func (c *segCache) get(key segKey, load func() ([]uint32, error)) ([]uint32, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {

@@ -20,10 +20,11 @@
 // extraction or column copying happens at all.
 //
 // Attribute lists are storage-agnostic: MemAttrList serves a memory-resident
-// column, while SpillSource serves columns from gzipped on-disk segment
-// files (written by internal/stream's segment codec) through a bounded
-// cache, so out-of-core training holds only the class list, the live rowID
-// lists, and a fixed budget of decompressed segments — never the table.
+// column, while SpillSource serves columns from on-disk segment files
+// (written by internal/stream's fixed-width binary segment codec) through a
+// bounded cache, so out-of-core training holds only the class list, the
+// live rowID lists, and a fixed budget of decoded segments — never the
+// table.
 //
 // # The Source contract and the paper's Local mode
 //
