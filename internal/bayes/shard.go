@@ -3,6 +3,7 @@ package bayes
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
@@ -182,7 +183,6 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 						MaxIters:  cfg.ReconMaxIters,
 						Epsilon:   cfg.ReconEpsilon,
 						TailMass:  cfg.ReconTailMass,
-						Float32:   cfg.ReconFloat32,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
@@ -236,7 +236,11 @@ func (t *TrainStats) State() TrainStatsState {
 }
 
 // NewTrainStatsFromState reconstitutes shard statistics from their wire
-// state, validating them against the schema and config.
+// state, validating them against the schema and config. Beyond the shapes,
+// the counts must be ones AddBatch could have produced: non-negative class
+// counts summing to N, and every direct-binned histogram row holding finite,
+// non-negative mass that sums to its class count (each record adds exactly
+// 1 to one interval of every such row).
 func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState) (*TrainStats, error) {
 	t, err := NewTrainStats(s, cfg)
 	if err != nil {
@@ -245,6 +249,19 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 	if len(state.Hist) != len(t.hist) || len(state.ClassCounts) != len(t.classCounts) {
 		return nil, fmt.Errorf("bayes: state has %d classes in hist, %d in class counts, schema has %d",
 			len(state.Hist), len(state.ClassCounts), len(t.classCounts))
+	}
+	if state.N < 0 {
+		return nil, fmt.Errorf("bayes: state has negative record count %d", state.N)
+	}
+	rest := state.N
+	for c, cnt := range state.ClassCounts {
+		if cnt < 0 || cnt > rest {
+			return nil, fmt.Errorf("bayes: state class %d count %d is negative or exceeds the %d records left of n=%d", c, cnt, rest, state.N)
+		}
+		rest -= cnt
+	}
+	if rest != 0 {
+		return nil, fmt.Errorf("bayes: state class counts sum to %d, n=%d", state.N-rest, state.N)
 	}
 	for c := range state.Hist {
 		if len(state.Hist[c]) != len(t.parts) {
@@ -258,6 +275,19 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 			if len(state.Hist[c][j]) != want {
 				return nil, fmt.Errorf("bayes: state class %d attribute %d has %d intervals, want %d", c, j, len(state.Hist[c][j]), want)
 			}
+			if t.useRecon[j] {
+				continue
+			}
+			var mass float64
+			for b, v := range state.Hist[c][j] {
+				if !(v >= 0) || math.IsInf(v, 1) {
+					return nil, fmt.Errorf("bayes: state class %d attribute %d interval %d has mass %v", c, j, b, v)
+				}
+				mass += v
+			}
+			if mass != float64(state.ClassCounts[c]) {
+				return nil, fmt.Errorf("bayes: state class %d attribute %d holds mass %v, class count is %d", c, j, mass, state.ClassCounts[c])
+			}
 			copy(t.hist[c][j], state.Hist[c][j])
 		}
 	}
@@ -270,8 +300,16 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 			return nil, err
 		}
 		for j, recon := range t.useRecon {
-			if recon && stats.Collector(j) == nil {
+			if !recon {
+				continue
+			}
+			if stats.Collector(j) == nil {
 				return nil, fmt.Errorf("bayes: state lacks collectors for reconstructed attribute %d", j)
+			}
+			for c, cnt := range state.ClassCounts {
+				if n := stats.ClassCollector(j, c).N(); n != cnt {
+					return nil, fmt.Errorf("bayes: state attribute %d class %d collected %d values, class count is %d", j, c, n, cnt)
+				}
 			}
 		}
 		t.stats = stats

@@ -291,19 +291,6 @@ func TestGenToFileReportsCount(t *testing.T) {
 	}
 }
 
-func TestReconstructFloat32Flag(t *testing.T) {
-	out, errOut, code := runCmd(t, reconstructCmd, []string{
-		"-shape", "uniform", "-n", "4000", "-family", "gaussian",
-		"-privacy", "0.5", "-k", "10", "-seed", "3", "-f32",
-	})
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "reconstructed") {
-		t.Errorf("f32 output unexpected:\n%s", out)
-	}
-}
-
 // TestTailFlagHelpStatesDefault pins the -tail / -recon-tail help text to the
 // banded-kernel contract documented in internal/reconstruct/doc.go: the
 // implicit default is 1e-12 and a negative value selects dense rows.
@@ -315,10 +302,13 @@ func TestTailFlagHelpStatesDefault(t *testing.T) {
 		if code != 2 {
 			t.Fatalf("%s -h: exit %d, want 2", name, code)
 		}
-		for _, want := range []string{"default 1e-12", "negative = dense rows", "float32 slabs"} {
+		for _, want := range []string{"default 1e-12", "negative = dense rows"} {
 			if !strings.Contains(errOut, want) {
 				t.Errorf("%s -h output missing %q:\n%s", name, want, errOut)
 			}
+		}
+		if strings.Contains(errOut, "f32") {
+			t.Errorf("%s -h still offers a float32 kernel flag:\n%s", name, errOut)
 		}
 	}
 }

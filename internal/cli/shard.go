@@ -36,7 +36,7 @@ func splitURLs(s string) []string {
 // a shard-worker request. shardConfigFromQuery on the worker resolves them
 // back to the identical bayes.Config (same flag vocabulary as ppdm-train),
 // so coordinator and workers accumulate statistics on the same grids.
-func shardQuery(mode, family string, privacy, conf float64, intervals int, algorithm string, reconTail float64, reconF32 bool) url.Values {
+func shardQuery(mode, family string, privacy, conf float64, intervals int, algorithm string, reconTail float64) url.Values {
 	q := url.Values{}
 	q.Set("mode", mode)
 	q.Set("family", family)
@@ -45,7 +45,6 @@ func shardQuery(mode, family string, privacy, conf float64, intervals int, algor
 	q.Set("intervals", strconv.Itoa(intervals))
 	q.Set("algorithm", algorithm)
 	q.Set("recon-tail", strconv.FormatFloat(reconTail, 'g', -1, 64))
-	q.Set("recon-f32", strconv.FormatBool(reconF32))
 	return q
 }
 
@@ -99,7 +98,6 @@ func shardConfigFromQuery(q url.Values) (bayes.Config, error) {
 		Intervals:      intervals,
 		ReconAlgorithm: alg,
 		ReconTailMass:  reconTail,
-		ReconFloat32:   q.Get("recon-f32") == "true",
 	}
 	if mode.NeedsNoise() {
 		family := q.Get("family")

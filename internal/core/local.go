@@ -12,28 +12,25 @@ import (
 // the records reaching that node (tree.DistribSource), so split selection
 // sees the node-conditional distributions instead of the root marginals.
 //
-// Record routing, however, uses the stable root ByClass assignment
-// (tree.Source.Values). Re-ranking records inside every node is tempting but
-// wrong: deconvolution on small, selection-biased subsamples hallucinates
-// sharp class separations, and the re-packed assignments manufacture pure
-// regions that do not exist in the clean data (observed as below-majority
-// test accuracy). The paper reports Local ≈ ByClass with a small edge, which
-// is exactly the behaviour this split gives.
+// Everything else comes from the embedded StaticSource built on the root
+// ByClass assignment: record routing, and the counts of nodes where
+// reconstruction declines. Re-ranking records inside every node is tempting
+// but wrong: deconvolution on small, selection-biased subsamples
+// hallucinates sharp class separations, and the re-packed assignments
+// manufacture pure regions that do not exist in the clean data (observed as
+// below-majority test accuracy). The paper reports Local ≈ ByClass with a
+// small edge, which is exactly the behaviour this split gives.
 //
 // Reconstruction at a node is restricted to the attribute's feasible
 // sub-domain (the span the grower passes down) and is skipped for nodes or
-// classes with too few records to support a meaningful deconvolution.
-// The source holds no scratch state of its own: the parallel split search
-// invokes Values and NodeDistributions concurrently for different
-// attributes, so callers supply any reusable buffers (Values' dst) and
-// NodeDistributions allocates fresh result slices per call.
+// classes with too few records to support a meaningful deconvolution. The
+// parallel split search invokes NodeDistributions concurrently for
+// different attributes, so it allocates fresh result slices per call.
 type localSource struct {
-	table    *dataset.Table
-	labels   []int
-	parts    []reconstruct.Partition
-	cfg      Config
-	fallback [][]int // root ByClass assignment, cols[attr][row]
-	classes  int
+	*tree.StaticSource
+	table *dataset.Table
+	parts []reconstruct.Partition
+	cfg   Config
 	// wcache is this training run's private transition-matrix cache. Node
 	// sub-partitions inherit the root partition's interval width at varying
 	// offsets, and the banded kernel keys matrices by canonicalised
@@ -48,55 +45,22 @@ type localSource struct {
 // rows, band-limited), so the bound is generous.
 const localWeightCacheEntries = 256
 
-// Len implements tree.Source.
-func (s *localSource) Len() int { return s.table.N() }
-
-// NumAttrs implements tree.Source.
-func (s *localSource) NumAttrs() int { return len(s.parts) }
-
-// Bins implements tree.Source.
-func (s *localSource) Bins(attr int) int { return s.parts[attr].K }
-
-// NumClasses implements tree.Source.
-func (s *localSource) NumClasses() int { return s.classes }
-
-// Label implements tree.Source.
-func (s *localSource) Label(row int) int { return s.labels[row] }
-
-// Values implements tree.Source: the root ByClass assignment clamped into
-// the feasible span.
-func (s *localSource) Values(attr int, rows []int, span tree.Span, dst []int) []int {
-	if cap(dst) < len(rows) {
-		dst = make([]int, len(rows))
-	}
-	out := dst[:len(rows)]
-	fb := s.fallback[attr]
-	for i, r := range rows {
-		v := fb[r]
-		if v < span.Lo {
-			v = span.Lo
-		}
-		if v > span.Hi {
-			v = span.Hi
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // NodeDistributions implements tree.DistribSource: per-class expected
 // interval counts of attr at this node, reconstructed from the node's
 // perturbed values over the feasible sub-domain. ok is false when the node
 // (or any non-empty class in it) is too small, or the attribute is not
-// perturbed; the caller then falls back to counting Values.
+// perturbed; the caller then falls back to counting the root ByClass
+// assignment.
 func (s *localSource) NodeDistributions(attr int, rows []int, span tree.Span) ([][]float64, bool) {
 	m, perturbed := s.cfg.Noise[attr]
 	if !perturbed || len(rows) < s.cfg.LocalMinRecords || span.Count() < 2 {
 		return nil, false
 	}
-	byClassVals := make([][]float64, s.classes)
+	classes := s.NumClasses()
+	labels := s.Labels()
+	byClassVals := make([][]float64, classes)
 	for _, r := range rows {
-		c := s.labels[r]
+		c := labels[r]
 		byClassVals[c] = append(byClassVals[c], s.table.Row(r)[attr])
 	}
 	for _, vals := range byClassVals {
@@ -110,8 +74,8 @@ func (s *localSource) NodeDistributions(attr int, rows []int, span tree.Span) ([
 		return nil, false
 	}
 
-	dist := make([][]float64, s.classes)
-	for c := 0; c < s.classes; c++ {
+	dist := make([][]float64, classes)
+	for c := 0; c < classes; c++ {
 		dist[c] = make([]float64, part.K)
 		vals := byClassVals[c]
 		if len(vals) == 0 {

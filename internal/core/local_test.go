@@ -37,7 +37,7 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 		}
 		parts[j] = p
 	}
-	fallback, err := byClassColumns(perturbed, parts, cfg)
+	cols, err := byClassColumns(perturbed, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,30 +45,17 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 	for i := range labels {
 		labels[i] = perturbed.Label(i)
 	}
+	static, err := staticSource(cols, parts, labels, s.NumClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &localSource{
-		table:    perturbed,
-		labels:   labels,
-		parts:    parts,
-		cfg:      cfg,
-		fallback: fallback,
-		classes:  s.NumClasses(),
-		wcache:   reconstruct.NewWeightCache(localWeightCacheEntries),
+		StaticSource: static,
+		table:        perturbed,
+		parts:        parts,
+		cfg:          cfg,
+		wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
 	}, models
-}
-
-func TestLocalValuesRespectSpan(t *testing.T) {
-	src, _ := buildLocalSource(t, 3000)
-	rows := make([]int, src.Len())
-	for i := range rows {
-		rows[i] = i
-	}
-	span := tree.Span{Lo: 3, Hi: 17}
-	vals := src.Values(synth.AttrAge, rows, span, nil)
-	for i, v := range vals {
-		if v < span.Lo || v > span.Hi {
-			t.Fatalf("row %d assigned bin %d outside span [%d,%d]", i, v, span.Lo, span.Hi)
-		}
-	}
 }
 
 func TestLocalNodeDistributionsRespectSpan(t *testing.T) {
@@ -124,22 +111,6 @@ func TestLocalNodeDistributionsDeclines(t *testing.T) {
 	delete(src.cfg.Noise, synth.AttrCar)
 	if _, ok := src.NodeDistributions(synth.AttrCar, all, tree.Span{Lo: 0, Hi: 10}); ok {
 		t.Error("unperturbed attribute accepted")
-	}
-}
-
-func TestLocalDeterministicValues(t *testing.T) {
-	src, _ := buildLocalSource(t, 2000)
-	rows := make([]int, 1200)
-	for i := range rows {
-		rows[i] = i
-	}
-	span := tree.Span{Lo: 0, Hi: src.Bins(synth.AttrAge) - 1}
-	a := append([]int(nil), src.Values(synth.AttrAge, rows, span, nil)...)
-	b := src.Values(synth.AttrAge, rows, span, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("local Values not deterministic")
-		}
 	}
 }
 

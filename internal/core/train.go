@@ -53,11 +53,6 @@ type Config struct {
 	// every model (dense rows). When banding is enabled, bounded noise
 	// (uniform) bands at its exact support, discarding zero mass.
 	ReconTailMass float64
-	// ReconFloat32 runs the banded reconstruction kernel on float32 slabs.
-	// Roughly halves kernel memory traffic at the cost of the bit-identical
-	// guarantee: distributions match the float64 kernel only to within a
-	// small total-variation tolerance. Dense (non-banded) rows ignore it.
-	ReconFloat32 bool
 	// Tree configures the decision-tree learner.
 	Tree tree.Config
 	// LocalMinRecords is Local mode's re-reconstruction threshold (default
@@ -124,48 +119,30 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 		labels[i] = train.Label(i)
 	}
 
-	var src tree.Source
+	var cols [][]int
 	switch cfg.Mode {
 	case Original, Randomized:
-		cols, err := directColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
+		cols, err = directColumns(train, parts, cfg)
 	case Global:
-		cols, err := globalColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
-	case ByClass:
-		cols, err := byClassColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
-	case Local:
-		fallback, err := byClassColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
+		cols, err = globalColumns(train, parts, cfg)
+	case ByClass, Local:
+		cols, err = byClassColumns(train, parts, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	static, err := staticSource(cols, parts, labels, s.NumClasses())
+	if err != nil {
+		return nil, err
+	}
+	var src tree.Source = static
+	if cfg.Mode == Local {
 		src = &localSource{
-			table:    train,
-			labels:   labels,
-			parts:    parts,
-			cfg:      cfg,
-			fallback: fallback,
-			classes:  s.NumClasses(),
-			wcache:   reconstruct.NewWeightCache(localWeightCacheEntries),
+			StaticSource: static,
+			table:        train,
+			parts:        parts,
+			cfg:          cfg,
+			wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
 		}
 	}
 
@@ -248,7 +225,7 @@ func adaptiveMinLeaf(n int) int {
 func effectiveIntervals(a dataset.Attribute, k int) int { return a.Intervals(k) }
 
 // staticSource wraps assignment columns in a tree.StaticSource.
-func staticSource(cols [][]int, parts []reconstruct.Partition, labels []int, classes int) (tree.Source, error) {
+func staticSource(cols [][]int, parts []reconstruct.Partition, labels []int, classes int) (*tree.StaticSource, error) {
 	bins := make([]int, len(parts))
 	for j, p := range parts {
 		bins[j] = p.K
@@ -279,7 +256,6 @@ func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct
 		MaxIters:           cfg.ReconMaxIters,
 		Epsilon:            cfg.ReconEpsilon,
 		TailMass:           cfg.ReconTailMass,
-		Float32:            cfg.ReconFloat32,
 		Workers:            1,
 		DisableWeightCache: cfg.DisableWeightCache,
 	}

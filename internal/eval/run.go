@@ -186,13 +186,12 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 		}
 	}
 
-	alg, tailMass, float32s := reconstruct.Bayes, 0.0, false
+	alg, tailMass := reconstruct.Bayes, 0.0
 	if c.Noise != nil {
 		if c.Noise.Algorithm == "em" {
 			alg = reconstruct.EM
 		}
 		tailMass = c.Noise.TailMass
-		float32s = c.Noise.Float32
 	}
 
 	start := time.Now()
@@ -200,7 +199,7 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 	if learner := c.Learner; learner == "nb" {
 		bcfg := bayes.Config{
 			Mode: mode, Intervals: c.Intervals, Noise: models,
-			ReconAlgorithm: alg, ReconTailMass: tailMass, ReconFloat32: float32s,
+			ReconAlgorithm: alg, ReconTailMass: tailMass,
 		}
 		var model *bayes.Classifier
 		switch {
@@ -218,7 +217,7 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 	} else {
 		ccfg := core.Config{
 			Mode: mode, Intervals: c.Intervals, Noise: models,
-			ReconAlgorithm: alg, ReconTailMass: tailMass, ReconFloat32: float32s,
+			ReconAlgorithm: alg, ReconTailMass: tailMass,
 			Workers: workers, ColumnCacheSegments: c.SpillCacheSegments,
 		}
 		var model *core.Classifier
@@ -297,8 +296,8 @@ func meanReconFidelity(clean, perturbed *dataset.Table, models map[int]noise.Mod
 		res, err := reconstruct.Reconstruct(perturbed.Column(j), reconstruct.Config{
 			Partition: part, Noise: models[j], Algorithm: alg,
 			Epsilon:  core.DefaultReconEpsilon,
-			TailMass: c.Noise.TailMass, Float32: c.Noise.Float32,
-			Workers: 1,
+			TailMass: c.Noise.TailMass,
+			Workers:  1,
 		})
 		if err != nil {
 			return 0, fmt.Errorf("attribute %q: %w", a.Name, err)

@@ -50,11 +50,6 @@ const DefaultTailMass = 1e-12
 // (w.off[s] + t − w.bandLo(s)) into build time and turns both passes into
 // contiguous dot products the unrolled kernels below can stream without
 // bounds checks. Bands are narrow, so the second slab costs little.
-//
-// A float32 matrix (requested via Config.Float32) carries the same geometry
-// with data32/tData32 holding float32-converted entries and the float64
-// slabs released; float32 and float64 matrices are distinct cache entries
-// (weightKey.f32).
 type bandedWeights struct {
 	k      int       // domain intervals (full row width)
 	m      int       // observation rows
@@ -65,10 +60,6 @@ type bandedWeights struct {
 	tLo    []int     // len k; first observation row covering column t
 	tOff   []int     // len k+1; column t occupies tData[tOff[t]:tOff[t+1]]
 	tData  []float64 // contiguous column slabs (increasing s within a column)
-
-	// float32 variant (only when built with f32; data/tData are then nil)
-	data32  []float32
-	tData32 []float32
 }
 
 // bandLo returns the first in-band domain interval of row s (inclusive).
@@ -97,16 +88,6 @@ func (w *bandedWeights) bandHi(s int) int {
 
 // row returns the packed band of row s.
 func (w *bandedWeights) row(s int) []float64 { return w.data[w.off[s]:w.off[s+1]] }
-
-// nnz returns the stored entry count of the row slab, whichever precision
-// holds it; the iteration passes use it to decide whether parallel fan-out
-// pays for itself.
-func (w *bandedWeights) nnz() int {
-	if w.data32 != nil {
-		return len(w.data32)
-	}
-	return len(w.data)
-}
 
 // denseRadius returns the smallest radius at which every row's band already
 // spans the full [0, k) domain. Radii at or above it are canonicalised to
@@ -155,9 +136,8 @@ func bandRadius(cfg Config, width float64, k, lowIdx, m int) int {
 // evaluations run in parallel bounded by workers; rows are index-addressed,
 // so the result is bitwise identical at any worker count. The transposed
 // column slab is a pure gather of the row slab, so its entries are the same
-// bits in a different order. With f32 set, both slabs are converted to
-// float32 and the float64 slabs released.
-func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs, radius int, f32 bool, workers int) *bandedWeights {
+// bits in a different order.
+func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs, radius, workers int) *bandedWeights {
 	w := &bandedWeights{k: k, m: nObs, lowIdx: lowIdx, radius: radius}
 	w.off = make([]int, nObs+1)
 	for s := 0; s < nObs; s++ {
@@ -213,18 +193,6 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 		}
 		return nil
 	})
-
-	if f32 {
-		w.data32 = make([]float32, len(w.data))
-		for i, v := range w.data {
-			w.data32[i] = float32(v)
-		}
-		w.tData32 = make([]float32, len(w.tData))
-		for i, v := range w.tData {
-			w.tData32[i] = float32(v)
-		}
-		w.data, w.tData = nil, nil
-	}
 	return w
 }
 
@@ -238,9 +206,6 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 type iterScratch struct {
 	p, next []float64
 	q       []float64
-	// float32 mirrors, sized only when a Float32 reconstruction runs.
-	p32, next32 []float32
-	q32         []float32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(iterScratch) }}
@@ -256,19 +221,6 @@ func (sc *iterScratch) ensure(k, m int) {
 		sc.q = make([]float64, m)
 	}
 	sc.q = sc.q[:m]
-}
-
-// ensure32 sizes the float32 mirrors for a Float32 reconstruction.
-func (sc *iterScratch) ensure32(k, m int) {
-	if cap(sc.p32) < k {
-		sc.p32 = make([]float32, k)
-		sc.next32 = make([]float32, k)
-	}
-	sc.p32, sc.next32 = sc.p32[:k], sc.next32[:k]
-	if cap(sc.q32) < m {
-		sc.q32 = make([]float32, m)
-	}
-	sc.q32 = sc.q32[:m]
 }
 
 // Fixed chunk grids for the parallel accumulation passes. The grids depend
@@ -334,40 +286,6 @@ func scaledDot64(a, b []float64, scale float64) float64 {
 	return acc
 }
 
-// dot32 is dot64 over the float32 slab.
-func dot32(a, b []float32) float32 {
-	b = b[:len(a)]
-	var acc float32
-	for len(a) >= 4 && len(b) >= 4 {
-		acc += a[0] * b[0]
-		acc += a[1] * b[1]
-		acc += a[2] * b[2]
-		acc += a[3] * b[3]
-		a, b = a[4:], b[4:]
-	}
-	for i := 0; i < len(a) && i < len(b); i++ {
-		acc += a[i] * b[i]
-	}
-	return acc
-}
-
-// scaledDot32 is scaledDot64 over the float32 slab.
-func scaledDot32(a, b []float32, scale float32) float32 {
-	b = b[:len(a)]
-	var acc float32
-	for len(a) >= 4 && len(b) >= 4 {
-		acc += a[0] * b[0] * scale
-		acc += a[1] * b[1] * scale
-		acc += a[2] * b[2] * scale
-		acc += a[3] * b[3] * scale
-		a, b = a[4:], b[4:]
-	}
-	for i := 0; i < len(a) && i < len(b); i++ {
-		acc += a[i] * b[i] * scale
-	}
-	return acc
-}
-
 // denomPass computes q[s] = Σ_t A[s][t]·p[t] for every observation row
 // (the band-limited A·p mat-vec). Rows are independent and index-addressed,
 // so the chunked parallel run is bitwise deterministic. Each row is a
@@ -413,33 +331,6 @@ func updatePass(w *bandedWeights, q []float64, p, next []float64, fallback float
 		for t := lo; t < hi; t++ {
 			pt := p[t]
 			acc := scaledDot64(w.tData[w.tOff[t]:w.tOff[t+1]], q[w.tLo[t]:], pt)
-			if fallback > 0 {
-				acc += fallback * pt
-			}
-			next[t] = acc
-		}
-	})
-}
-
-// denomPass32 is denomPass over the float32 slab and estimate.
-func denomPass32(w *bandedWeights, counts []int, p, q []float32, workers int) {
-	parallel.ForEachChunk(w.m, iterRowChunk, workers, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if counts[s] == 0 {
-				q[s] = 0
-				continue
-			}
-			q[s] = dot32(w.data32[w.off[s]:w.off[s+1]], p[w.bandLo(s):])
-		}
-	})
-}
-
-// updatePass32 is updatePass over the float32 slab and estimate.
-func updatePass32(w *bandedWeights, q []float32, p, next []float32, fallback float32, workers int) {
-	parallel.ForEachChunk(w.k, iterColChunk, workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			pt := p[t]
-			acc := scaledDot32(w.tData32[w.tOff[t]:w.tOff[t+1]], q[w.tLo[t]:], pt)
 			if fallback > 0 {
 				acc += fallback * pt
 			}

@@ -23,9 +23,6 @@ type weightKey struct {
 	lowIdx int
 	nObs   int
 	radius int
-	// f32 separates float32 slabs from float64 ones: same geometry, different
-	// entry representation, never interchangeable.
-	f32 bool
 }
 
 // DefaultWeightCacheEntries bounds the shared transition-matrix cache.
@@ -167,7 +164,7 @@ func transitionWeights(cfg Config, obs *observationGrid) *bandedWeights {
 		cache = sharedWeightCache
 	}
 	cacheable := !cfg.DisableWeightCache && cacheableModel(cfg.Noise)
-	key := weightKey{alg: cfg.Algorithm, width: width, k: k, lowIdx: obs.lowIdx, nObs: len(obs.counts), radius: radius, f32: cfg.Float32}
+	key := weightKey{alg: cfg.Algorithm, width: width, k: k, lowIdx: obs.lowIdx, nObs: len(obs.counts), radius: radius}
 	if cacheable {
 		key.model = cfg.Noise
 		if w, ok := cache.get(key); ok {
@@ -175,7 +172,7 @@ func transitionWeights(cfg Config, obs *observationGrid) *bandedWeights {
 		}
 	}
 
-	w := computeWeights(cfg.Noise, cfg.Algorithm, width, k, obs.lowIdx, len(obs.counts), radius, cfg.Float32, cfg.Workers)
+	w := computeWeights(cfg.Noise, cfg.Algorithm, width, k, obs.lowIdx, len(obs.counts), radius, cfg.Workers)
 	if cacheable {
 		w = cache.put(key, w)
 	}

@@ -2,6 +2,7 @@ package reconstruct
 
 import (
 	"fmt"
+	"math"
 
 	"ppdm/internal/dataset"
 )
@@ -48,25 +49,32 @@ func (c *Collector) State() CollectorState {
 }
 
 // NewCollectorFromState reconstitutes a collector from its wire state,
-// validating that the counts are internally consistent.
+// validating that the counts are internally consistent: positive counts
+// summing to N, and, when there are any, MinIdx and MaxIdx equal to the
+// lowest and highest occupied index (as Add and Merge keep them).
 func NewCollectorFromState(st CollectorState) (*Collector, error) {
 	c, err := NewCollector(Partition{Lo: st.Lo, Hi: st.Hi, K: st.K})
 	if err != nil {
 		return nil, err
 	}
 	total := 0
+	lo, hi := st.MaxIdx, st.MinIdx
 	for idx, cnt := range st.Counts {
-		if cnt <= 0 {
+		if cnt <= 0 || cnt > math.MaxInt-total {
 			return nil, fmt.Errorf("reconstruct: collector state has count %d at index %d", cnt, idx)
 		}
 		if idx < st.MinIdx || idx > st.MaxIdx {
 			return nil, fmt.Errorf("reconstruct: collector state index %d outside [%d, %d]", idx, st.MinIdx, st.MaxIdx)
 		}
+		lo, hi = min(lo, idx), max(hi, idx)
 		c.counts[idx] = cnt
 		total += cnt
 	}
 	if total != st.N {
 		return nil, fmt.Errorf("reconstruct: collector state n=%d but counts sum to %d", st.N, total)
+	}
+	if total > 0 && (lo != st.MinIdx || hi != st.MaxIdx) {
+		return nil, fmt.Errorf("reconstruct: collector state range [%d, %d] but counts occupy [%d, %d]", st.MinIdx, st.MaxIdx, lo, hi)
 	}
 	c.n = st.N
 	c.minIdx = st.MinIdx

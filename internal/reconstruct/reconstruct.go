@@ -65,16 +65,6 @@ type Config struct {
 	// discarding zero mass, so their banded results are bit-identical to
 	// dense rows.
 	TailMass float64
-	// Float32 runs the iteration on float32 copies of the weight slab and
-	// estimate, halving kernel memory traffic. It is an opt-in for
-	// configurations whose TailMass (or statistical noise floor) already
-	// dominates float32 rounding error: the reconstructed distribution
-	// differs from the float64 kernel's by a small total-variation distance
-	// on the order of the stopping Epsilon (the package tests assert a 1e-3
-	// bound across the library's noise models at default settings).
-	// Validation, convergence bookkeeping (Delta), and the returned Result.P
-	// stay float64. Float32 matrices are cached separately from float64 ones.
-	Float32 bool
 	// Workers bounds the parallelism of the transition-weight precompute and
 	// of the fused iteration passes on large grids; 0 means all cores,
 	// negative values are rejected. The result is bit-identical for every
@@ -203,10 +193,7 @@ func reconstructGrid(obs *observationGrid, cfg Config) (Result, error) {
 		return Result{}, errors.New("reconstruct: no observations")
 	}
 	n := float64(total)
-	workers := iterWorkers(cfg, weights.nnz())
-	if cfg.Float32 {
-		return iterate32(weights, obs, sc, p, n, maxIters, eps, workers)
-	}
+	workers := iterWorkers(cfg, len(weights.data))
 	res := Result{}
 	for iter := 1; iter <= maxIters; iter++ {
 		// Pass 1: per-row denominators q = A·p.

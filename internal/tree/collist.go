@@ -29,24 +29,6 @@ type AttrList interface {
 	Segment(seg int) ([]uint32, error)
 }
 
-// ColumnSource is an optional refinement of Source implemented by columnar
-// (attribute-list) sources. When a source implements it, Grow runs the
-// columnar engine: per-node class histograms accumulate directly from the
-// attribute lists' segments, and node partitioning joins rowIDs against a
-// bitmap of the winning attribute — the row-pull Values path is never used.
-//
-// Columnar values must be exact: unlike Values, the engine does not clamp
-// into the feasible span, relying on the invariant that rows were routed to
-// a node by these very values (true for any static assignment).
-type ColumnSource interface {
-	Source
-	// AttrList returns attribute attr's columnar list.
-	AttrList(attr int) AttrList
-	// Labels returns the class list, indexed by global rowID. The slice
-	// aliases the source's storage; callers must not modify it.
-	Labels() []int
-}
-
 // MemAttrList is an AttrList over one memory-resident column, stored
 // contiguously at 4 bytes per value.
 type MemAttrList struct {

@@ -10,22 +10,6 @@ import (
 	"ppdm/internal/stream"
 )
 
-// valuesOnlySource hides a StaticSource's columnar interface, forcing the
-// legacy row-pull (Values) engine — the reference the columnar engine must
-// reproduce exactly.
-type valuesOnlySource struct {
-	s *StaticSource
-}
-
-func (v *valuesOnlySource) Len() int          { return v.s.Len() }
-func (v *valuesOnlySource) NumAttrs() int     { return v.s.NumAttrs() }
-func (v *valuesOnlySource) Bins(attr int) int { return v.s.Bins(attr) }
-func (v *valuesOnlySource) NumClasses() int   { return v.s.NumClasses() }
-func (v *valuesOnlySource) Label(row int) int { return v.s.Label(row) }
-func (v *valuesOnlySource) Values(attr int, rows []int, span Span, dst []int) []int {
-	return v.s.Values(attr, rows, span, dst)
-}
-
 // randomCols draws a noisy multi-attribute dataset big enough to split
 // repeatedly and to cross several SegLen segments.
 func randomCols(seed uint64, n, attrs, bins, classes int) (cols [][]int, labels []int) {
@@ -64,10 +48,105 @@ func treesEqual(t *testing.T, a, b *Tree) {
 	}
 }
 
-// TestColumnarMatchesValuesEngine grows the same data through the columnar
-// engine (StaticSource) and the legacy row-pull path and demands identical
-// trees — structure, counts, and bit-identical Importance.
-func TestColumnarMatchesValuesEngine(t *testing.T) {
+// oracleGrow is the reference learner the columnar engine must reproduce:
+// a serial recursion that counts class histograms straight from the raw
+// columns and partitions rows in row order, sharing only the gini formulas
+// and the pruning pass with Grow.
+func oracleGrow(cols [][]int, bins, labels []int, classes int, cfg Config) *Tree {
+	cfg = cfg.withDefaults()
+	t := &Tree{NumAttrs: len(cols), NumClasses: classes, Importance: make([]float64, len(cols))}
+	rows := make([]int, len(labels))
+	for i := range rows {
+		rows[i] = i
+	}
+	spans := make([]Span, len(cols))
+	for a := range spans {
+		spans[a] = Span{Lo: 0, Hi: bins[a] - 1}
+	}
+	var grow func(rows []int, spans []Span, depth int) *Node
+	grow = func(rows []int, spans []Span, depth int) *Node {
+		node := &Node{Counts: make([]int, classes)}
+		for _, r := range rows {
+			node.Counts[labels[r]]++
+		}
+		node.Class = argmax(node.Counts)
+		if depth >= cfg.MaxDepth || len(rows) < 2*cfg.MinLeaf || isPure(node.Counts) {
+			return node
+		}
+		parent := make([]float64, classes)
+		for c, v := range node.Counts {
+			parent[c] = float64(v)
+		}
+		parentGini := giniOf(parent, float64(len(rows)))
+		best := split{attr: -1}
+		for a, col := range cols {
+			span := spans[a]
+			if span.Count() < 2 {
+				continue
+			}
+			totals := make([]float64, classes)
+			counts := make([][]float64, bins[a])
+			for b := range counts {
+				counts[b] = make([]float64, classes)
+			}
+			var n float64
+			for _, r := range rows {
+				counts[col[r]][labels[r]]++
+				totals[labels[r]]++
+				n++
+			}
+			left := make([]float64, classes)
+			var nLeft float64
+			for cut := span.Lo; cut < span.Hi; cut++ {
+				for c, v := range counts[cut] {
+					left[c] += v
+					nLeft += v
+				}
+				nRight := n - nLeft
+				if nLeft < float64(cfg.MinLeaf) || nRight < float64(cfg.MinLeaf) {
+					continue
+				}
+				gain := parentGini - (nLeft*giniOf(left, nLeft)+nRight*giniOfRight(totals, left, nRight))/n
+				if gain > best.gain || (gain == best.gain && best.attr == -1) {
+					best = split{attr: a, cut: cut, gain: gain}
+				}
+			}
+		}
+		if best.attr < 0 || best.gain < cfg.MinGain {
+			return node
+		}
+		var lrows, rrows []int
+		for _, r := range rows {
+			if cols[best.attr][r] <= best.cut {
+				lrows = append(lrows, r)
+			} else {
+				rrows = append(rrows, r)
+			}
+		}
+		if len(lrows) < cfg.MinLeaf || len(rrows) < cfg.MinLeaf {
+			return node
+		}
+		node.Attr, node.Cut = best.attr, best.cut
+		t.Importance[best.attr] += best.gain * float64(len(rows)) / float64(len(labels))
+		lspans := append([]Span(nil), spans...)
+		rspans := append([]Span(nil), spans...)
+		lspans[best.attr].Hi = best.cut
+		rspans[best.attr].Lo = best.cut + 1
+		node.Left = grow(lrows, lspans, depth+1)
+		node.Right = grow(rrows, rspans, depth+1)
+		return node
+	}
+	t.Root = grow(rows, spans, 0)
+	if !cfg.DisablePruning {
+		prune(t.Root)
+	}
+	return t
+}
+
+// TestColumnarMatchesOracle grows the same data through the columnar
+// engine (StaticSource) and the serial row-order oracle and demands
+// identical trees — structure, counts, and bit-identical Importance.
+func TestColumnarMatchesOracle(t *testing.T) {
 	const n, attrs, bins, classes = 30000, 4, 12, 3
 	cols, labels := randomCols(11, n, attrs, bins, classes)
 	binsV := []int{bins, bins, bins, bins}
@@ -84,11 +163,7 @@ func TestColumnarMatchesValuesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		valTree, err := Grow(&valuesOnlySource{s: static}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		treesEqual(t, colTree, valTree)
+		treesEqual(t, colTree, oracleGrow(cols, binsV, labels, classes, cfg))
 	}
 }
 

@@ -42,7 +42,7 @@ func TestDistribSourceDrivesSplitSelection(t *testing.T) {
 	}
 	spans := []Span{{Lo: 0, Hi: 3}}
 	counts := sourceClassCounts(fake, rowsUpTo(n))
-	best, err := findBestSplit(fake, rowsUpTo(n), spans, counts, 1, 1, make([][]int, 1))
+	best, err := findBestSplit(fake, rowsUpTo(n), spans, counts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDistribSourceDeclineFallsBackToValues(t *testing.T) {
 	fake := &fakeDistribSource{StaticSource: static, dist: nil}
 	spans := []Span{{Lo: 0, Hi: 3}}
 	counts := sourceClassCounts(fake, rowsUpTo(n))
-	best, err := findBestSplit(fake, rowsUpTo(n), spans, counts, 1, 1, make([][]int, 1))
+	best, err := findBestSplit(fake, rowsUpTo(n), spans, counts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +133,6 @@ func TestSpanHelpers(t *testing.T) {
 	}
 }
 
-func TestStaticSourceValuesClampToSpan(t *testing.T) {
-	src := makeSource(t, [][]int{{0, 3, 7}}, 8, []int{0, 1, 0}, 2)
-	vals := src.Values(0, []int{0, 1, 2}, Span{Lo: 2, Hi: 5}, nil)
-	want := []int{2, 3, 5}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("clamped values = %v, want %v", vals, want)
-		}
-	}
-}
-
 func rowsUpTo(n int) []int {
 	rows := make([]int, n)
 	for i := range rows {
@@ -156,8 +145,9 @@ func rowsUpTo(n int) []int {
 // for the grower's internal counting in white-box tests.
 func sourceClassCounts(src Source, rows []int) []int {
 	counts := make([]int, src.NumClasses())
+	labels := src.Labels()
 	for _, r := range rows {
-		counts[src.Label(r)]++
+		counts[labels[r]]++
 	}
 	return counts
 }

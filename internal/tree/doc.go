@@ -28,15 +28,17 @@
 //
 // # The Source contract and the paper's Local mode
 //
-// The generic Source interface (row-pull Values calls) remains the
-// universal contract, because the paper's Local mode cannot be columnar: at
-// every node it re-derives the interval distribution of each candidate
-// attribute by running distribution reconstruction over just that node's
-// perturbed values (DistribSource), exactly as §4 of the paper prescribes,
-// and routes records through span-clamped fallback assignments. Sources
-// that additionally implement ColumnSource — all static assignments:
-// Original/Randomized baselines and the Global/ByClass reconstruction
-// modes — are served by the columnar engine instead.
+// Every Source is columnar: attribute lists plus the class list, and there
+// is no second, row-at-a-time data path. The paper's Local mode fits this
+// contract because it only changes what the split search *sees*, not how
+// records are routed: at every node it re-derives the interval distribution
+// of each candidate attribute by running distribution reconstruction over
+// just that node's perturbed values (DistribSource), exactly as §4 of the
+// paper prescribes, while routing records — and counting nodes where
+// reconstruction declines — on the attribute lists of the root ByClass
+// assignment. Original/Randomized baselines and the Global/ByClass
+// reconstruction modes are plain StaticSources (in memory) or SpillSources
+// (out of core).
 //
 // # Parallelism and determinism
 //

@@ -9,11 +9,10 @@ import (
 	"ppdm/internal/stream"
 )
 
-// Engine-level pairs for BENCH_tree.json: identical growth workload through
-// the legacy row-pull (Values) engine, the columnar in-memory engine, and
-// the disk-spilled columnar engine. Outputs are identical by
-// TestColumnarMatchesValuesEngine / TestSpillSourceMatchesStatic, so the
-// deltas measure pure data-access cost.
+// Engine-level pair for BENCH_tree.json: identical growth workload through
+// the in-memory columnar engine and the disk-spilled one. Outputs are
+// identical by TestSpillSourceMatchesStatic, so the delta measures pure
+// data-access cost.
 
 const benchGrowN = 100000
 
@@ -31,16 +30,6 @@ func benchGrowSource(b *testing.B) (*StaticSource, [][]int, []int) {
 func benchGrowCfg() Config {
 	// Serial, unpruned growth isolates the engine cost.
 	return Config{MinLeaf: 50, DisablePruning: true, Workers: 1, SubtreeMinRows: -1}
-}
-
-func BenchmarkGrowValuesEngine(b *testing.B) {
-	src, _, _ := benchGrowSource(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Grow(&valuesOnlySource{s: src}, benchGrowCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkGrowColumnar(b *testing.B) {

@@ -6,9 +6,10 @@ import (
 
 // Span is an inclusive range of interval indices. During growth the tree
 // tracks, for every attribute, the span of intervals still feasible on the
-// current path (ancestor splits shrink it); sources that recompute
-// assignments per node must honour it, otherwise a node's fresh assignment
-// can contradict the very split that created the node.
+// current path (ancestor splits shrink it): the split search only considers
+// cuts inside it, and a DistribSource must place no mass outside it,
+// otherwise a node's fresh distribution can contradict the very split that
+// created the node.
 type Span struct{ Lo, Hi int }
 
 // Contains reports whether bin b lies in the span.
@@ -17,15 +18,20 @@ func (s Span) Contains(b int) bool { return b >= s.Lo && b <= s.Hi }
 // Count returns the number of intervals in the span.
 func (s Span) Count() int { return s.Hi - s.Lo + 1 }
 
-// Source supplies training data to Grow. Attribute values are interval
-// indices in [0, Bins(attr)).
+// Source supplies training data to Grow in the columnar layout: one
+// attribute list of interval indices in [0, Bins(attr)) per attribute, plus
+// the class list. Per-node class histograms accumulate directly from the
+// lists' segments, and node partitioning joins rowIDs against a bitmap of
+// the winning attribute.
 //
-// The parallel split search calls Values (and NodeDistributions) for
-// different attributes concurrently, so implementations must be safe for
-// concurrent calls with distinct attr arguments — in practice: no shared
-// scratch buffers. Sources whose assignments are static should additionally
-// implement ColumnSource, which routes them through the columnar engine and
-// retires Values from the hot path entirely.
+// Values must be exact: the grower does not clamp them into the feasible
+// span, relying on the invariant that rows reach a node only through
+// ancestor cuts on these very values (true for any static assignment).
+//
+// The parallel split search reads different attributes concurrently (and
+// calls NodeDistributions concurrently, for DistribSource), so
+// implementations must be safe for concurrent calls with distinct attr
+// arguments.
 type Source interface {
 	// Len returns the number of records.
 	Len() int
@@ -35,16 +41,11 @@ type Source interface {
 	Bins(attr int) int
 	// NumClasses returns the number of class labels.
 	NumClasses() int
-	// Label returns the class of record row.
-	Label(row int) int
-	// Values returns the interval index of attribute attr for each listed
-	// record, in order; every index must lie within span. Implementations
-	// may recompute assignments per call (the paper's Local mode does).
-	// dst, when its capacity suffices, is used as the result's backing
-	// storage so hot callers can amortize allocation; pass nil to let the
-	// implementation allocate. Callers must not retain the returned slice
-	// across calls with the same dst.
-	Values(attr int, rows []int, span Span, dst []int) []int
+	// AttrList returns attribute attr's columnar list.
+	AttrList(attr int) AttrList
+	// Labels returns the class list, indexed by global rowID. The slice
+	// aliases the source's storage; callers must not modify it.
+	Labels() []int
 }
 
 // DistribSource is an optional refinement of Source. When implemented, the
@@ -52,17 +53,17 @@ type Source interface {
 // records, replacing the histogram of stored values in the gini evaluation.
 // This is how the paper's Local mode plugs in: the distribution at each node
 // is freshly reconstructed from the node's perturbed values, while record
-// routing still uses the stable Values assignment.
+// routing still uses the source's stable attribute lists.
 type DistribSource interface {
 	Source
 	// NodeDistributions returns expected per-class counts over the
 	// intervals of attr for the given rows: dist[class][bin]. Bins outside
-	// span must carry zero mass. ok = false falls back to counting stored
-	// values. Callers must not retain the returned slices across calls.
+	// span must carry zero mass. ok = false falls back to counting the
+	// attribute list. Callers must not retain the returned slices across calls.
 	NodeDistributions(attr int, rows []int, span Span) (dist [][]float64, ok bool)
 }
 
-// StaticSource is a ColumnSource backed by precomputed interval assignments
+// StaticSource is a Source backed by precomputed interval assignments
 // held in memory-resident attribute lists (one packed column per attribute).
 type StaticSource struct {
 	lists  []*MemAttrList
@@ -115,36 +116,8 @@ func (s *StaticSource) Bins(attr int) int { return s.bins[attr] }
 // NumClasses implements Source.
 func (s *StaticSource) NumClasses() int { return s.k }
 
-// Label implements Source.
-func (s *StaticSource) Label(row int) int { return s.labels[row] }
-
-// AttrList implements ColumnSource.
+// AttrList implements Source.
 func (s *StaticSource) AttrList(attr int) AttrList { return s.lists[attr] }
 
-// Labels implements ColumnSource.
+// Labels implements Source.
 func (s *StaticSource) Labels() []int { return s.labels }
-
-// Values implements Source for callers outside the columnar engine (the
-// engine itself reads the attribute lists directly). Static assignments
-// already satisfy every span a correct grower can pass (rows were routed by
-// these very values), so the span is only used to clamp defensively. The
-// source holds no scratch state of its own, reusing dst when it is big
-// enough.
-func (s *StaticSource) Values(attr int, rows []int, span Span, dst []int) []int {
-	if cap(dst) < len(rows) {
-		dst = make([]int, len(rows))
-	}
-	out := dst[:len(rows)]
-	col := s.lists[attr].vals
-	for i, r := range rows {
-		v := int(col[r])
-		if v < span.Lo {
-			v = span.Lo
-		}
-		if v > span.Hi {
-			v = span.Hi
-		}
-		out[i] = v
-	}
-	return out
-}

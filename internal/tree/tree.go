@@ -146,20 +146,17 @@ func Grow(src Source, cfg Config) (*Tree, error) {
 		rows[i] = i
 	}
 	g := &grower{
-		src:   src,
-		cfg:   cfg,
-		total: len(rows),
-		fj:    parallel.NewForkJoin(cfg.Workers),
-	}
-	if cs, ok := src.(ColumnSource); ok {
-		g.cols = cs
-		g.labels = cs.Labels()
+		src:    src,
+		labels: src.Labels(),
+		cfg:    cfg,
+		total:  len(rows),
+		fj:     parallel.NewForkJoin(cfg.Workers),
 	}
 	spans := make([]Span, src.NumAttrs())
 	for a := range spans {
 		spans[a] = Span{Lo: 0, Hi: src.Bins(a) - 1}
 	}
-	t.Root = g.grow(g.newTask(), rows, spans, 0)
+	t.Root = g.grow(&growTask{}, rows, spans, 0)
 	if err := g.err(); err != nil {
 		return nil, err
 	}
@@ -180,8 +177,7 @@ func Grow(src Source, cfg Config) (*Tree, error) {
 // mutable scratch lives in growTask.
 type grower struct {
 	src    Source
-	cols   ColumnSource // nil for row-pull sources (the paper's Local mode)
-	labels []int        // cols.Labels(), hoisted out of the hot loops
+	labels []int // src.Labels(), hoisted out of the hot loops
 	cfg    Config
 	total  int
 	fj     *parallel.ForkJoin
@@ -198,19 +194,11 @@ type grower struct {
 }
 
 // growTask is the scratch of one growth goroutine: a spawned subtree gets a
-// fresh task, an inline recursion reuses its parent's. valsBuf backs the
-// serial partition step of row-pull sources, slotScratch the per-worker-slot
-// Values buffers of the split search, and bits the rowID bitmap of columnar
-// partitioning (lazily sized to the full row range; subtree row sets
-// interleave, so tasks must not share words).
+// fresh task, an inline recursion reuses its parent's. bits is the rowID
+// bitmap of node partitioning (lazily sized to the full row range; subtree
+// row sets interleave, so tasks must not share words).
 type growTask struct {
-	valsBuf     []int
-	slotScratch [][]int
-	bits        bitmap
-}
-
-func (g *grower) newTask() *growTask {
-	return &growTask{slotScratch: make([][]int, parallel.Workers(g.cfg.Workers))}
+	bits bitmap
 }
 
 // attrWorkers returns this node's share of the Workers budget for the
@@ -251,7 +239,7 @@ func (g *grower) grow(t *growTask, rows []int, spans []Span, depth int) *Node {
 	if depth >= g.cfg.MaxDepth || len(rows) < 2*g.cfg.MinLeaf || isPure(node.Counts) {
 		return node
 	}
-	best, err := findBestSplit(g.src, rows, spans, node.Counts, g.cfg.MinLeaf, g.attrWorkers(), t.slotScratch)
+	best, err := findBestSplit(g.src, rows, spans, node.Counts, g.cfg.MinLeaf, g.attrWorkers())
 	if err != nil {
 		g.fail(err)
 		return nil
@@ -259,7 +247,7 @@ func (g *grower) grow(t *growTask, rows []int, spans []Span, depth int) *Node {
 	if best.attr < 0 || best.gain < g.cfg.MinGain {
 		return node
 	}
-	left, right, err := g.partition(t, rows, spans, best)
+	left, right, err := g.partition(t, rows, best)
 	if err != nil {
 		g.fail(err)
 		return nil
@@ -290,7 +278,7 @@ func (g *grower) grow(t *growTask, rows []int, spans []Span, depth int) *Node {
 			func(spawned bool) {
 				rt := t
 				if spawned {
-					rt = g.newTask()
+					rt = &growTask{}
 					g.spawned.Add(1)
 					defer g.spawned.Add(-1)
 				}
@@ -304,42 +292,20 @@ func (g *grower) grow(t *growTask, rows []int, spans []Span, depth int) *Node {
 	return node
 }
 
-// partition routes the node's rows on the chosen split. Columnar sources
-// partition by bitmap join against the winning attribute's list; row-pull
-// sources re-fetch the winning attribute's assignments (with a static
-// source this returns the same values evaluated during the search; with a
-// Local source it recomputes the same deterministic reconstruction).
-func (g *grower) partition(t *growTask, rows []int, spans []Span, best split) (left, right []int, err error) {
-	if g.cols != nil {
-		if t.bits == nil {
-			t.bits = newBitmap(g.total)
-		}
-		return partitionRows(g.cols.AttrList(best.attr), rows, best.cut, t.bits)
+// partition routes the node's rows on the chosen split by a bitmap join
+// against the winning attribute's list.
+func (g *grower) partition(t *growTask, rows []int, best split) (left, right []int, err error) {
+	if t.bits == nil {
+		t.bits = newBitmap(g.total)
 	}
-	vals := g.src.Values(best.attr, rows, spans[best.attr], t.valsBuf)
-	t.valsBuf = vals
-	for i, r := range rows {
-		if vals[i] <= best.cut {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	return left, right, nil
+	return partitionRows(g.src.AttrList(best.attr), rows, best.cut, t.bits)
 }
 
-// classCounts tallies the node's records per class, reading the hoisted
-// class list when the source is columnar.
+// classCounts tallies the node's records per class.
 func (g *grower) classCounts(rows []int) []int {
 	counts := make([]int, g.src.NumClasses())
-	if g.labels != nil {
-		for _, r := range rows {
-			counts[g.labels[r]]++
-		}
-		return counts
-	}
 	for _, r := range rows {
-		counts[g.src.Label(r)]++
+		counts[g.labels[r]]++
 	}
 	return counts
 }
